@@ -7,80 +7,24 @@
 //!   benches (`benches/controllers.rs`, `benches/substrates.rs`):
 //!   warm-up + N timed iterations, median-of-runs, no registry deps.
 //! * The host-performance harness (`bin/hostbench.rs`): measures
-//!   **simulated cycles per host second** per rig and per scheduler
-//!   ([`SchedulerMode`]), the number that caps how many sweeps and
+//!   **simulated cycles per host second** per rig and per kernel
+//!   [`Scheduler`], the number that caps how many sweeps and
 //!   fault campaigns the paper harness can afford. Results land in
 //!   `BENCH_hostbench.json` so the perf trajectory is recorded and
 //!   CI can fail on gross regressions.
 
 use std::time::{Duration, Instant};
 
-use rvcap_sim::{Scheduler, Simulator};
+use rvcap_sim::Scheduler;
 
-/// Kernel scheduler configuration under measurement.
-///
-/// `Naive` is the reference tick-everything loop; `Scan` is the PR 1
-/// idle-fast-forward baseline (hint scan over every component each
-/// step); the active-set variants differ in whether dense streaming
-/// components may execute batched ticks and whether whole due chains
-/// may fuse into multi-cycle windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Tick every component every cycle.
-    Naive,
-    /// Full-scan idle fast-forward (the PR 1 baseline).
-    Scan,
-    /// Wake-queue scheduling, one tick per component per cycle.
-    ActiveSet,
-    /// Wake-queue scheduling plus solo batched streaming ticks.
-    ActiveSetBatched,
-    /// Batching plus multi-component stream fusion (the default
-    /// kernel configuration).
-    Fused,
-}
+/// The kernel schedules the harness measures, reference first.
+pub const SCHEDULERS: [Scheduler; 2] = [Scheduler::Naive, Scheduler::ActiveSet];
 
-impl SchedulerMode {
-    /// All modes, slowest first.
-    pub const ALL: [SchedulerMode; 5] = [
-        SchedulerMode::Naive,
-        SchedulerMode::Scan,
-        SchedulerMode::ActiveSet,
-        SchedulerMode::ActiveSetBatched,
-        SchedulerMode::Fused,
-    ];
-
-    /// Stable label used in reports and JSON records.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::Naive => "naive",
-            SchedulerMode::Scan => "scan",
-            SchedulerMode::ActiveSet => "active_set",
-            SchedulerMode::ActiveSetBatched => "active_set_batched",
-            SchedulerMode::Fused => "fused",
-        }
-    }
-
-    /// Configure a simulator's kernel for this mode.
-    pub fn apply(self, sim: &mut Simulator) {
-        match self {
-            SchedulerMode::Naive => sim.set_scheduler(Scheduler::Naive),
-            SchedulerMode::Scan => sim.set_scheduler(Scheduler::Scan),
-            SchedulerMode::ActiveSet => {
-                sim.set_scheduler(Scheduler::ActiveSet);
-                sim.set_batching(false);
-                sim.set_fusion(false);
-            }
-            SchedulerMode::ActiveSetBatched => {
-                sim.set_scheduler(Scheduler::ActiveSet);
-                sim.set_batching(true);
-                sim.set_fusion(false);
-            }
-            SchedulerMode::Fused => {
-                sim.set_scheduler(Scheduler::ActiveSet);
-                sim.set_batching(true);
-                sim.set_fusion(true);
-            }
-        }
+/// Stable label of a schedule, used in reports and JSON records.
+pub fn scheduler_name(scheduler: Scheduler) -> &'static str {
+    match scheduler {
+        Scheduler::Naive => "naive",
+        Scheduler::ActiveSet => "active_set",
     }
 }
 
@@ -88,7 +32,7 @@ impl SchedulerMode {
 pub struct RigPerf {
     /// Rig label (e.g. `rvcap_paper`).
     pub rig: String,
-    /// Scheduler label ([`SchedulerMode::name`]).
+    /// Scheduler label ([`scheduler_name`]).
     pub scheduler: String,
     /// Simulated cycles one run of the rig covers (must not depend on
     /// the scheduler — the parity tests pin this).
@@ -140,7 +84,7 @@ impl RigPerf {
 /// fork leaked state and the measurement is invalid.
 pub fn measure_rig_forked<S>(
     rig: &str,
-    scheduler: SchedulerMode,
+    scheduler: Scheduler,
     samples: usize,
     proto: &mut S,
     mut fork: impl FnMut(&mut S),
@@ -166,7 +110,7 @@ pub fn measure_rig_forked<S>(
     let wall = runs[runs.len() / 2].0.as_secs_f64();
     RigPerf {
         rig: rig.into(),
-        scheduler: scheduler.name().into(),
+        scheduler: scheduler_name(scheduler).into(),
         sim_cycles: cycles,
         wall_s: wall,
         cycles_per_sec: if wall > 0.0 {

@@ -55,14 +55,12 @@
 //! deadline heap — or, for components that wire their inputs to a
 //! [`wake::Waker`] ([`component::Component::wake_sources`]), until new
 //! input actually arrives. Each cycle only *due* components are
-//! touched, the clock jumps over windows where nothing is due, and a
-//! lone streaming component can be handed a whole quiet window as one
-//! batched call ([`component::Component::tick_batch`]). This recovers
-//! the main benefit of an event queue (work proportional to activity,
-//! not to simulated time or component count) while keeping cycle
-//! counts bit-identical to the naive schedule — the hints and wake
-//! subscriptions are an optimization contract, never a behavioral
-//! one, and can be switched off
+//! touched and the clock jumps over windows where nothing is due. This
+//! recovers the main benefit of an event queue (work proportional to
+//! activity, not to simulated time or component count) while keeping
+//! cycle counts bit-identical to the naive schedule — the hints and
+//! wake subscriptions are an optimization contract, never a
+//! behavioral one, and can be switched off
 //! ([`kernel::Simulator::set_scheduler`]) to cross-check.
 //! Per-component accounting ([`stats::KernelStats`]) reports how many
 //! ticks were executed versus skipped.

@@ -243,7 +243,8 @@ impl BitSet {
     }
 
     /// Number of set bits.
-    pub(crate) fn count(&self) -> usize {
+    #[cfg(test)]
+    fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }

@@ -1,7 +1,7 @@
 //! Replay parity: `checkpoint → restore into a fresh rig → continue`
 //! must be **bit-identical** to the uninterrupted run — same cycles,
 //! same component state, same MMIO audits, same sanitizer verdicts,
-//! same tick accounting — under every kernel scheduler mode.
+//! same tick accounting — under both kernel schedules.
 //!
 //! This is the proof obligation behind warm-boot forking (the
 //! hostbench builds one SoC per rig, checkpoints it post-boot, and
@@ -15,12 +15,12 @@
 //! `target/replay-divergence-report.txt`, which CI uploads as an
 //! artifact.
 
-use rvcap_bench::hostbench::SchedulerMode;
+use rvcap_bench::hostbench::{scheduler_name, SCHEDULERS};
 use rvcap_bench::paper_soc::{self, PaperRig};
 use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
-use rvcap_repro::sim::{bisect_divergence, Cycle, SimState};
+use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState};
 use rvcap_repro::soc::cpu::SocState;
 
 /// Small sweep geometry: full reconfiguration in ~11 k cycles, cheap
@@ -31,9 +31,9 @@ fn small_rp() -> RpGeometry {
 
 /// Build the pinned rig under `mode`, sanitizer attached (so protocol
 /// observation state is inside the parity check too).
-fn mk_rig(mode: SchedulerMode) -> PaperRig {
+fn mk_rig(mode: Scheduler) -> PaperRig {
     let mut rig = paper_soc::rig_with_builder(SocBuilder::new().with_sanitizer(), small_rp());
-    mode.apply(&mut rig.soc.core.sim);
+    rig.soc.core.sim.set_scheduler(mode);
     rig
 }
 
@@ -65,7 +65,7 @@ const HORIZON: Cycle = 12_000;
 
 /// Fork: build a fresh structurally-identical rig, restore `base` into
 /// it, advance `t` cycles, checkpoint.
-fn fork_run(base: &SocState, mode: SchedulerMode, t: Cycle) -> SocState {
+fn fork_run(base: &SocState, mode: Scheduler, t: Cycle) -> SocState {
     let mut rig = mk_rig(mode);
     rig.soc.core.restore(base).expect("restore into fresh rig");
     assert_eq!(rig.soc.core.now(), base.sim.cycle, "restore sets the clock");
@@ -75,7 +75,7 @@ fn fork_run(base: &SocState, mode: SchedulerMode, t: Cycle) -> SocState {
 
 /// Straight re-execution: build a fresh rig, re-run the deterministic
 /// prologue to the base cycle, advance `t` cycles, checkpoint.
-fn straight_run(base_cycle: Cycle, mode: SchedulerMode, t: Cycle) -> SocState {
+fn straight_run(base_cycle: Cycle, mode: Scheduler, t: Cycle) -> SocState {
     let mut rig = mk_rig(mode);
     program_transfer(&mut rig);
     let c0 = rig.soc.core.now();
@@ -87,7 +87,7 @@ fn straight_run(base_cycle: Cycle, mode: SchedulerMode, t: Cycle) -> SocState {
 
 /// Assert parity; on failure, bisect the first divergent cycle and
 /// write the CI artifact before panicking.
-fn assert_parity(context: &str, mode: SchedulerMode, base: &SocState, horizon: Cycle) {
+fn assert_parity(context: &str, mode: Scheduler, base: &SocState, horizon: Cycle) {
     let straight = straight_run(base.sim.cycle, mode, horizon);
     let replay = fork_run(base, mode, horizon);
     if let Some(diff) = straight.parity_diff(&replay) {
@@ -105,12 +105,12 @@ fn assert_parity(context: &str, mode: SchedulerMode, base: &SocState, horizon: C
         let path = std::path::Path::new("target").join("replay-divergence-report.txt");
         let body = format!(
             "context: {context} (scheduler {})\n\n{rendered}\n",
-            mode.name()
+            scheduler_name(mode)
         );
         let _ = std::fs::write(&path, &body);
         panic!(
             "replay parity failed [{context}, {}]: {diff}\n{rendered}\n(report: {})",
-            mode.name(),
+            scheduler_name(mode),
             path.display()
         );
     }
@@ -148,10 +148,10 @@ fn restore_rejects_mismatched_structure() {
 }
 
 /// A cycle-0 fork replays the *entire* reconfiguration bit-identically
-/// under every scheduler mode: same Td/Tr ticks, same final state.
+/// under both schedules: same Td/Tr ticks, same final state.
 #[test]
 fn boot_checkpoint_replays_full_reconfiguration() {
-    for mode in SchedulerMode::ALL {
+    for mode in SCHEDULERS {
         // Straight run.
         let mut a = mk_rig(mode);
         let base = a.soc.core.checkpoint().expect("boot checkpoint");
@@ -167,13 +167,23 @@ fn boot_checkpoint_replays_full_reconfiguration() {
         let tb = db.init_reconfig_process(&mut b.soc.core, &module, DmaMode::NonBlocking);
         let end_b = b.soc.core.checkpoint().expect("replay end");
 
-        assert_eq!(ta.td_ticks, tb.td_ticks, "Td under {}", mode.name());
-        assert_eq!(ta.tr_ticks, tb.tr_ticks, "Tr under {}", mode.name());
+        assert_eq!(
+            ta.td_ticks,
+            tb.td_ticks,
+            "Td under {}",
+            scheduler_name(mode)
+        );
+        assert_eq!(
+            ta.tr_ticks,
+            tb.tr_ticks,
+            "Tr under {}",
+            scheduler_name(mode)
+        );
         assert_eq!(
             end_a.parity_diff(&end_b),
             None,
             "boot-fork parity under {}",
-            mode.name()
+            scheduler_name(mode)
         );
         let san = a.soc.handles.sanitizer.as_ref().expect("sanitizer");
         assert_eq!(san.violation_count(), 0);
@@ -183,10 +193,10 @@ fn boot_checkpoint_replays_full_reconfiguration() {
 /// The tentpole property: a checkpoint taken *mid-DMA-stream* (bursts
 /// in flight, FIFOs part-full, ICAP mid-bitstream) restores into a
 /// fresh rig and continues bit-identically to the uninterrupted run —
-/// under all five scheduler modes.
+/// under both schedules.
 #[test]
 fn mid_stream_checkpoint_replays_bit_identical() {
-    for mode in SchedulerMode::ALL {
+    for mode in SCHEDULERS {
         let mut rig = mk_rig(mode);
         program_transfer(&mut rig);
         rig.soc.core.compute(MID_STREAM);
@@ -194,11 +204,15 @@ fn mid_stream_checkpoint_replays_bit_identical() {
         // The checkpoint really is mid-stream: the ICAP has consumed
         // some of the bitstream but not all of it.
         let consumed = rig.soc.handles.icap.words_consumed();
-        assert!(consumed > 0, "stream not started under {}", mode.name());
+        assert!(
+            consumed > 0,
+            "stream not started under {}",
+            scheduler_name(mode)
+        );
         assert!(
             consumed < (rig.module.pbit_size / 4) as u64,
             "stream already done under {}",
-            mode.name()
+            scheduler_name(mode)
         );
         assert_parity("mid-stream fork", mode, &base, HORIZON);
     }
@@ -208,7 +222,7 @@ fn mid_stream_checkpoint_replays_bit_identical() {
 /// restores under any other and produces the same simulated
 /// observables (scheduler internals are rebuilt cold from component
 /// hints). Executed-tick accounting is schedule policy — naive ticks
-/// idle components that the hint-driven modes skip — so the cross-mode
+/// idle components that the active-set schedule skips — so the cross-mode
 /// comparison strips it and checks everything a program can observe:
 /// the cycle, every component's state blob, the sanitizer verdict.
 #[test]
@@ -220,18 +234,18 @@ fn checkpoint_is_scheduler_portable() {
         }
         s
     }
-    let mut rig = mk_rig(SchedulerMode::ActiveSetBatched);
+    let mut rig = mk_rig(Scheduler::ActiveSet);
     program_transfer(&mut rig);
     rig.soc.core.compute(MID_STREAM);
     let base = rig.soc.core.checkpoint().expect("checkpoint");
-    let reference = strip_schedule_accounting(fork_run(&base, SchedulerMode::Naive, HORIZON));
-    for mode in SchedulerMode::ALL {
+    let reference = strip_schedule_accounting(fork_run(&base, Scheduler::Naive, HORIZON));
+    for mode in SCHEDULERS {
         let end = strip_schedule_accounting(fork_run(&base, mode, HORIZON));
         assert_eq!(
             reference.parity_diff(&end),
             None,
             "cross-scheduler parity, naive vs {}",
-            mode.name()
+            scheduler_name(mode)
         );
     }
 }
@@ -243,7 +257,7 @@ fn checkpoint_is_scheduler_portable() {
 fn vcd_waveform_survives_fork() {
     let build = || {
         let mut rig = paper_soc::rig_with_builder(SocBuilder::new().with_vcd(), small_rp());
-        SchedulerMode::ActiveSetBatched.apply(&mut rig.soc.core.sim);
+        rig.soc.core.sim.set_scheduler(Scheduler::ActiveSet);
         rig
     };
     let mut a = build();
