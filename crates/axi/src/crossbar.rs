@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::state::{StateBlob, StateError, StateItem, StateValue};
-use rvcap_sim::Cycle;
+use rvcap_sim::{Cycle, PagedBytes};
 
 use crate::mm::{MasterPort, MmOp, MmReq, MmResp, SlavePort};
 
@@ -610,7 +610,7 @@ pub struct RamSlave {
     name: String,
     port: SlavePort,
     base: u64,
-    mem: Vec<u8>,
+    mem: PagedBytes,
     service_latency: Cycle,
     /// (ready_at, remaining beat responses)
     active: Option<(Cycle, VecDeque<MmResp>)>,
@@ -623,7 +623,7 @@ impl RamSlave {
             name: name.into(),
             port,
             base,
-            mem: vec![0; size],
+            mem: PagedBytes::zeroed(size),
             service_latency: 1,
             active: None,
         }
@@ -638,14 +638,12 @@ impl RamSlave {
     /// Direct (zero-time) memory access for initialization and test
     /// inspection — the simulation-level equivalent of a backdoor load.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        let off = (addr - self.base) as usize;
-        self.mem[off..off + data.len()].copy_from_slice(data);
+        self.mem.write((addr - self.base) as usize, data);
     }
 
     /// Direct read, see [`RamSlave::write_bytes`].
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        let off = (addr - self.base) as usize;
-        self.mem[off..off + len].to_vec()
+        self.mem.read_vec((addr - self.base) as usize, len)
     }
 
     fn serve(&mut self, req: MmReq) -> VecDeque<MmResp> {
@@ -654,15 +652,14 @@ impl RamSlave {
             crate::mm::MmOp::Read { bytes } => {
                 let off = (req.addr - self.base) as usize;
                 let mut buf = [0u8; 8];
-                buf[..bytes as usize].copy_from_slice(&self.mem[off..off + bytes as usize]);
+                self.mem.read_into(off, &mut buf[..bytes as usize]);
                 out.push_back(MmResp::data(u64::from_le_bytes(buf), bytes, true));
             }
             crate::mm::MmOp::ReadBurst { beats, beat_bytes } => {
                 for i in 0..beats {
                     let off = (req.addr - self.base) as usize + i as usize * beat_bytes as usize;
                     let mut buf = [0u8; 8];
-                    buf[..beat_bytes as usize]
-                        .copy_from_slice(&self.mem[off..off + beat_bytes as usize]);
+                    self.mem.read_into(off, &mut buf[..beat_bytes as usize]);
                     out.push_back(MmResp::data(
                         u64::from_le_bytes(buf),
                         beat_bytes,
@@ -671,9 +668,10 @@ impl RamSlave {
                 }
             }
             crate::mm::MmOp::Write { data, bytes, .. } => {
-                let off = (req.addr - self.base) as usize;
-                self.mem[off..off + bytes as usize]
-                    .copy_from_slice(&data.to_le_bytes()[..bytes as usize]);
+                self.mem.write(
+                    (req.addr - self.base) as usize,
+                    &data.to_le_bytes()[..bytes as usize],
+                );
                 out.push_back(MmResp::write_ack());
             }
         }
@@ -734,7 +732,7 @@ impl Component for RamSlave {
     fn save_state(&self) -> Option<StateBlob> {
         let mut b = StateBlob::new("axi.ram", 1);
         b.put("req", self.port.req.save_state());
-        b.put_bytes("mem", std::sync::Arc::new(self.mem.clone()));
+        b.put_bytes("mem", self.mem.clone());
         match &self.active {
             Some((ready, pending)) => {
                 b.put_opt_u64("active_ready", Some(*ready));
@@ -762,7 +760,7 @@ impl Component for RamSlave {
             )));
         }
         self.port.req.restore_state(state.get("req")?)?;
-        self.mem.copy_from_slice(mem);
+        self.mem.restore_from(mem);
         self.active = match state.get_opt_u64("active_ready")? {
             Some(ready) => {
                 let pending = state

@@ -70,9 +70,12 @@ impl RigPerf {
 /// `proto` is the prototype the caller built **once** (bitstream
 /// synthesis, SoC boot, and DDR/SD staging are paid a single time, not
 /// per sample); `fork` rewinds it to the post-boot snapshot between
-/// samples (untimed — a checkpoint restore plus a stats reset costs
-/// the same under every scheduler and would dilute the ratio between
-/// them); `run` executes the measured phase in place and returns the
+/// samples. Forks are untimed: a restore plus a stats reset is the same
+/// work under every scheduler, so timing it would only dilute the ratio
+/// between them. It is also cheap — the restore re-points the
+/// copy-on-write DDR and SD flash pages at the snapshot's
+/// ([`rvcap_sim::PagedBytes`]) instead of copying 128 MiB. `run`
+/// executes the measured phase in place and returns the
 /// simulated cycles covered. `samples` runs are timed and the median
 /// reported (robust to host scheduler noise).
 ///

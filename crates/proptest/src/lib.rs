@@ -14,9 +14,12 @@
 //!   (via the panic message) but does not minimize them.
 //! * **Deterministic seeding.** The RNG seed is derived from the test
 //!   function's name, so every run explores the same cases — failures
-//!   reproduce without a persistence file.
+//!   reproduce without a persistence file. `RVCAP_PROPTEST_SEED`
+//!   overrides the seed and a failure prints the seed it ran with
+//!   (see [`test_runner`]).
 //! * **Default case count is 64** (the real default of 256 is tuned
-//!   for shrinking support; see [`test_runner::ProptestConfig`]).
+//!   for shrinking support; see [`test_runner::ProptestConfig`]);
+//!   `RVCAP_PROPTEST_CASES` overrides it.
 
 pub mod arbitrary;
 pub mod collection;
@@ -60,7 +63,9 @@ macro_rules! __proptest_impl {
             $(#[$meta])+
             fn $name() {
                 let config: $crate::test_runner::ProptestConfig = $cfg;
-                let mut rng = $crate::test_runner::TestRng::from_name(stringify!($name));
+                let config = config.with_env_overrides();
+                let seed = $crate::test_runner::seed_for(stringify!($name));
+                let mut rng = $crate::test_runner::TestRng::from_seed(seed);
                 for case in 0..config.cases {
                     let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                         (|| {
@@ -70,7 +75,11 @@ macro_rules! __proptest_impl {
                             ::std::result::Result::Ok(())
                         })();
                     if let ::std::result::Result::Err(e) = outcome {
-                        ::std::panic!("proptest case {case} of {} failed: {e}", config.cases);
+                        ::std::panic!(
+                            "proptest case {case} of {} failed (seed {seed:#x}; replay with {}={seed:#x}): {e}",
+                            config.cases,
+                            $crate::test_runner::SEED_ENV,
+                        );
                     }
                 }
             }
@@ -143,4 +152,18 @@ macro_rules! prop_oneof {
             $((1u32, $crate::strategy::Strategy::boxed($strat))),+
         ])
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[test]
+        #[should_panic(expected = "replay with RVCAP_PROPTEST_SEED=0x")]
+        fn failing_case_reports_its_seed(x in 0u32..10) {
+            prop_assert!(x > 100);
+        }
+    }
 }

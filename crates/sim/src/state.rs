@@ -16,9 +16,10 @@
 //!   ([`StateValue`]). Typed accessors return [`StateError`] on a
 //!   missing field or a shape mismatch, naming the blob and field.
 //! * Bulk memory (DDR contents, the SD card image) travels as
-//!   [`StateValue::Bytes`] behind an `Arc`, so cloning a whole-system
-//!   checkpoint — the warm-boot fork path of the host-perf harness —
-//!   never copies megabytes.
+//!   [`StateValue::Bytes`], a copy-on-write [`PagedBytes`] whose pages
+//!   the live memory shares: taking a checkpoint, cloning it, and
+//!   restoring from it — the warm-boot fork path of the host-perf
+//!   harness — move page pointers and never copy megabytes.
 //!
 //! On top of the per-component blobs, [`SimState`] is the
 //! whole-simulator checkpoint captured by
@@ -32,8 +33,8 @@
 //! scheduler while producing bit-identical simulated behavior.
 
 use std::fmt;
-use std::sync::Arc;
 
+use crate::paged::PagedBytes;
 use crate::time::Cycle;
 
 /// One field value inside a [`StateBlob`]. A closed set of shapes —
@@ -52,9 +53,10 @@ pub enum StateValue {
     OptU64(Option<u64>),
     /// A short identifying string (an RM name, a channel name).
     Str(String),
-    /// Bulk byte memory, shared — cloning a checkpoint is O(1) per
-    /// memory, which is what makes warm-boot forking cheap.
-    Bytes(Arc<Vec<u8>>),
+    /// Byte memory as copy-on-write pages — cloning a checkpoint
+    /// copies page pointers, not bytes, which is what makes warm-boot
+    /// forking cheap. `len()` is the logical byte count.
+    Bytes(PagedBytes),
     /// A word buffer (configuration frames, FIFO word queues).
     Words(Vec<u32>),
     /// An ordered sequence of values (FIFO queues, pipelines).
@@ -260,8 +262,9 @@ impl StateBlob {
         self.put(field, StateValue::Str(v.into()));
     }
 
-    /// Append a [`StateValue::Bytes`] field (shared, O(1) to clone).
-    pub fn put_bytes(&mut self, field: impl Into<String>, v: Arc<Vec<u8>>) {
+    /// Append a [`StateValue::Bytes`] field (cheap to clone: shares
+    /// pages).
+    pub fn put_bytes(&mut self, field: impl Into<String>, v: PagedBytes) {
         self.put(field, StateValue::Bytes(v));
     }
 
@@ -365,8 +368,8 @@ impl StateBlob {
         }
     }
 
-    /// Read a [`StateValue::Bytes`] field (the shared handle).
-    pub fn get_bytes(&self, field: &str) -> Result<&Arc<Vec<u8>>, StateError> {
+    /// Read a [`StateValue::Bytes`] field (the shared pages).
+    pub fn get_bytes(&self, field: &str) -> Result<&PagedBytes, StateError> {
         match self.get(field)? {
             StateValue::Bytes(v) => Ok(v),
             other => Err(self.mismatch(field, "bytes", other)),
@@ -572,8 +575,21 @@ impl SimState {
             if av != bv {
                 // Recurse into nested blobs so the report names the
                 // innermost differing field, not just the top one.
-                if let (StateValue::Blob(ab), StateValue::Blob(bb)) = (av, bv) {
-                    return Self::blob_diff(&format!("{owner}.{an}"), ab, bb);
+                match (av, bv) {
+                    (StateValue::Blob(ab), StateValue::Blob(bb)) => {
+                        return Self::blob_diff(&format!("{owner}.{an}"), ab, bb);
+                    }
+                    // Name the first differing byte, not two
+                    // possibly-megabyte memories.
+                    (StateValue::Bytes(ab), StateValue::Bytes(bb)) => {
+                        let at = ab.first_difference(bb).unwrap_or(0);
+                        return format!(
+                            "{owner}.{an}: bytes differ at offset {at:#x} (lengths {} vs {})",
+                            ab.len(),
+                            bb.len()
+                        );
+                    }
+                    _ => {}
                 }
                 return format!("{owner}.{an}: {av:?} vs {bv:?}");
             }
@@ -712,15 +728,38 @@ mod tests {
 
     #[test]
     fn bytes_share_storage_across_clones() {
-        let payload = Arc::new(vec![0u8; 1024]);
+        let payload = PagedBytes::from_slice(&[5u8; 3 * crate::paged::PAGE_SIZE]);
         let mut b = StateBlob::new("ddr", 1);
         b.put_bytes("mem", payload.clone());
         let c = b.clone();
-        match (b.get("mem").unwrap(), c.get("mem").unwrap()) {
-            (StateValue::Bytes(x), StateValue::Bytes(y)) => {
-                assert!(Arc::ptr_eq(x, y), "clone must share the bytes");
+        let (x, y) = (b.get_bytes("mem").unwrap(), c.get_bytes("mem").unwrap());
+        assert_eq!(x.shared_pages(y), 3, "clone must share the pages");
+        assert_eq!(x.shared_pages(&payload), 3);
+    }
+
+    #[test]
+    fn parity_diff_names_the_first_differing_byte() {
+        let mk = |poke: usize| {
+            let mut mem = PagedBytes::zeroed(64 << 10);
+            mem.write(poke, &[1]);
+            let mut blob = StateBlob::new("ddr", 1);
+            blob.put_bytes("mem", mem);
+            SimState {
+                cycle: 10,
+                components: vec![ComponentState {
+                    name: "ddr".into(),
+                    registered_at: 0,
+                    ticks: 10,
+                    blob,
+                }],
+                sanitizer: None,
+                counters: KernelCounters::default(),
             }
-            _ => unreachable!(),
-        }
+        };
+        let diff = mk(0x5003).parity_diff(&mk(0x9000)).unwrap();
+        assert!(
+            diff.contains("ddr.mem") && diff.contains("0x5003"),
+            "got: {diff}"
+        );
     }
 }

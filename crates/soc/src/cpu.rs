@@ -300,9 +300,8 @@ impl<'a> InterpreterBus<'a> {
 impl rvcap_rv64::Bus for InterpreterBus<'_> {
     fn load(&mut self, addr: u64, bytes: u8) -> (u64, u64) {
         if is_cacheable(addr) {
-            let raw = self.ddr.read_bytes(addr, bytes as usize);
             let mut buf = [0u8; 8];
-            buf[..bytes as usize].copy_from_slice(&raw);
+            self.ddr.read_into(addr, &mut buf[..bytes as usize]);
             // D$ hit.
             (u64::from_le_bytes(buf), 1)
         } else {

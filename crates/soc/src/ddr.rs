@@ -26,8 +26,7 @@ use std::rc::Rc;
 use rvcap_axi::mm::{MmOp, MmReq, MmResp, SlavePort};
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::state::{StateBlob, StateError, StateItem, StateValue};
-use rvcap_sim::Cycle;
-use std::sync::Arc;
+use rvcap_sim::{Cycle, PagedBytes};
 
 /// DDR timing/geometry configuration.
 #[derive(Debug, Clone, Copy)]
@@ -62,20 +61,29 @@ impl Default for DdrConfig {
 #[derive(Debug, Clone)]
 pub struct DdrHandle {
     base: u64,
-    bytes: Rc<RefCell<Vec<u8>>>,
+    bytes: Rc<RefCell<PagedBytes>>,
 }
 
 impl DdrHandle {
     /// Copy `data` into DDR at absolute address `addr`.
     pub fn write_bytes(&self, addr: u64, data: &[u8]) {
-        let off = (addr - self.base) as usize;
-        self.bytes.borrow_mut()[off..off + data.len()].copy_from_slice(data);
+        self.bytes
+            .borrow_mut()
+            .write((addr - self.base) as usize, data);
+    }
+
+    /// Fill `buf` from DDR at absolute address `addr` (no allocation).
+    pub fn read_into(&self, addr: u64, buf: &mut [u8]) {
+        self.bytes
+            .borrow()
+            .read_into((addr - self.base) as usize, buf);
     }
 
     /// Read `len` bytes at absolute address `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        let off = (addr - self.base) as usize;
-        self.bytes.borrow()[off..off + len].to_vec()
+        self.bytes
+            .borrow()
+            .read_vec((addr - self.base) as usize, len)
     }
 
     /// Memory size in bytes.
@@ -104,7 +112,7 @@ pub struct Ddr {
     name: String,
     port: SlavePort,
     base: u64,
-    bytes: Rc<RefCell<Vec<u8>>>,
+    bytes: Rc<RefCell<PagedBytes>>,
     cfg: DdrConfig,
     read: ReadState,
     /// Posted-write pipeline: writes commit (and ack) in order, one
@@ -129,7 +137,7 @@ impl Ddr {
         base: u64,
         cfg: DdrConfig,
     ) -> (Self, DdrHandle) {
-        let bytes = Rc::new(RefCell::new(vec![0u8; cfg.size as usize]));
+        let bytes = Rc::new(RefCell::new(PagedBytes::zeroed(cfg.size as usize)));
         let handle = DdrHandle {
             base,
             bytes: bytes.clone(),
@@ -160,10 +168,10 @@ impl Ddr {
     }
 
     fn read_u64(&self, addr: u64, bytes: u8) -> u64 {
-        let off = (addr - self.base) as usize;
-        let mem = self.bytes.borrow();
         let mut buf = [0u8; 8];
-        buf[..bytes as usize].copy_from_slice(&mem[off..off + bytes as usize]);
+        self.bytes
+            .borrow()
+            .read_into((addr - self.base) as usize, &mut buf[..bytes as usize]);
         u64::from_le_bytes(buf)
     }
 
@@ -201,9 +209,10 @@ impl Component for Ddr {
                     {
                         let ok = self.in_bounds(req.addr, bytes as u64);
                         if ok {
-                            let off = (req.addr - self.base) as usize;
-                            self.bytes.borrow_mut()[off..off + bytes as usize]
-                                .copy_from_slice(&data.to_le_bytes()[..bytes as usize]);
+                            self.bytes.borrow_mut().write(
+                                (req.addr - self.base) as usize,
+                                &data.to_le_bytes()[..bytes as usize],
+                            );
                         }
                         if posted {
                             // No B response: commit and move on. An
@@ -351,10 +360,8 @@ impl Component for Ddr {
     fn save_state(&self) -> Option<StateBlob> {
         let mut b = StateBlob::new("soc.ddr", 1);
         b.put("port_req", self.port.req.save_state());
-        b.put(
-            "mem",
-            StateValue::Bytes(Arc::new(self.bytes.borrow().clone())),
-        );
+        // Shares every page with the live memory: no bytes copied.
+        b.put_bytes("mem", self.bytes.borrow().clone());
         let (read, until, req) = match &self.read {
             ReadState::Idle => ("idle", None, StateValue::OptU64(None)),
             ReadState::Latency { until, req } => ("latency", Some(*until), req.to_state()),
@@ -405,7 +412,7 @@ impl Component for Ddr {
             )));
         }
         self.port.req.restore_state(state.get("port_req")?)?;
-        self.bytes.borrow_mut().copy_from_slice(mem);
+        self.bytes.borrow_mut().restore_from(mem);
         self.read = match state.get_str("read")? {
             "idle" => ReadState::Idle,
             "latency" => ReadState::Latency {

@@ -10,9 +10,8 @@ use std::rc::Rc;
 use rvcap_axi::mm::{MmResp, SlavePort};
 use rvcap_axi::regmap::{Decoded, RegisterFile};
 use rvcap_sim::component::{Component, TickCtx};
-use rvcap_sim::state::{StateBlob, StateError, StateValue};
-use rvcap_sim::MmioAudit;
-use std::sync::Arc;
+use rvcap_sim::state::{StateBlob, StateError};
+use rvcap_sim::{MmioAudit, PagedBytes};
 
 use crate::map::{UART_MAP, UART_STATUS, UART_TX};
 
@@ -114,10 +113,7 @@ impl Component for Uart {
         let mut b = StateBlob::new("soc.uart", 1);
         b.put("port_req", self.port.req.save_state());
         b.put("regs", self.regs.save_state());
-        b.put(
-            "log",
-            StateValue::Bytes(Arc::new(self.handle.log.borrow().clone())),
-        );
+        b.put_bytes("log", PagedBytes::from_slice(&self.handle.log.borrow()));
         Some(b)
     }
 

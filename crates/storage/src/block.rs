@@ -1,6 +1,7 @@
 //! Block devices: the storage abstraction under the SD card and FAT32.
 
-use rvcap_sim::state::{StateError, StateValue};
+use rvcap_sim::state::{StateBlob, StateError, StateValue};
+use rvcap_sim::PagedBytes;
 
 /// Block (sector) size in bytes. SD cards and FAT32 both use 512.
 pub const BLOCK_SIZE: usize = 512;
@@ -42,10 +43,12 @@ pub trait BlockDevice {
     }
 }
 
-/// An in-memory block device (the simulated SD card's flash array).
+/// An in-memory block device (the simulated SD card's flash array),
+/// stored as copy-on-write pages: a checkpoint shares them and a
+/// restore re-points them, so neither copies the medium.
 #[derive(Debug, Clone)]
 pub struct MemBlockDevice {
-    blocks: Vec<u8>,
+    blocks: PagedBytes,
     reads: u64,
     writes: u64,
 }
@@ -54,7 +57,7 @@ impl MemBlockDevice {
     /// A zero-filled device of `num_blocks` blocks.
     pub fn new(num_blocks: u64) -> Self {
         MemBlockDevice {
-            blocks: vec![0u8; num_blocks as usize * BLOCK_SIZE],
+            blocks: PagedBytes::zeroed(num_blocks as usize * BLOCK_SIZE),
             reads: 0,
             writes: 0,
         }
@@ -82,23 +85,18 @@ impl BlockDevice for MemBlockDevice {
     }
 
     fn read_block(&mut self, lba: u64, buf: &mut [u8; BLOCK_SIZE]) {
-        let off = lba as usize * BLOCK_SIZE;
-        buf.copy_from_slice(&self.blocks[off..off + BLOCK_SIZE]);
+        self.blocks.read_into(lba as usize * BLOCK_SIZE, buf);
         self.reads += 1;
     }
 
     fn write_block(&mut self, lba: u64, buf: &[u8; BLOCK_SIZE]) {
-        let off = lba as usize * BLOCK_SIZE;
-        self.blocks[off..off + BLOCK_SIZE].copy_from_slice(buf);
+        self.blocks.write(lba as usize * BLOCK_SIZE, buf);
         self.writes += 1;
     }
 
     fn save_state(&self) -> Option<StateValue> {
-        let mut b = rvcap_sim::state::StateBlob::new("storage.mem_block", 1);
-        b.put(
-            "blocks",
-            StateValue::Bytes(std::sync::Arc::new(self.blocks.clone())),
-        );
+        let mut b = StateBlob::new("storage.mem_block", 1);
+        b.put_bytes("blocks", self.blocks.clone());
         b.put_u64("reads", self.reads);
         b.put_u64("writes", self.writes);
         Some(StateValue::Blob(Box::new(b)))
@@ -115,7 +113,7 @@ impl BlockDevice for MemBlockDevice {
                 blocks.len()
             )));
         }
-        self.blocks.copy_from_slice(blocks);
+        self.blocks.restore_from(blocks);
         self.reads = b.get_u64("reads")?;
         self.writes = b.get_u64("writes")?;
         Ok(())

@@ -16,8 +16,8 @@
 //! not modelled; the FAT32 layer reads cluster-by-cluster anyway.
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
-use rvcap_sim::state::{StateBlob, StateError, StateValue};
-use std::sync::Arc;
+use rvcap_sim::state::{StateBlob, StateError};
+use rvcap_sim::PagedBytes;
 
 /// R1 bit: card is in idle state (initialization in progress).
 pub const R1_IDLE: u8 = 0x01;
@@ -170,12 +170,10 @@ impl<D: BlockDevice> SdCard<D> {
         b.put_str("state", state);
         b.put_opt_u64("received", received);
         b.put_opt_u64("lba", lba);
-        b.put("frame", StateValue::Bytes(Arc::new(self.frame.to_vec())));
-        b.put(
-            "out",
-            StateValue::Bytes(Arc::new(self.out.iter().copied().collect())),
-        );
-        b.put("wbuf", StateValue::Bytes(Arc::new(self.wbuf.clone())));
+        b.put_bytes("frame", PagedBytes::from_slice(&self.frame));
+        let out: Vec<u8> = self.out.iter().copied().collect();
+        b.put_bytes("out", PagedBytes::from_slice(&out));
+        b.put_bytes("wbuf", PagedBytes::from_slice(&self.wbuf));
         b.put_bool("initialized", self.initialized);
         b.put_u64("init_polls_left", self.init_polls_left as u64);
         b.put_bool("app_cmd", self.app_cmd);
@@ -212,8 +210,8 @@ impl<D: BlockDevice> SdCard<D> {
                 state.structure_error(format!("frame is {} bytes, expected 6", frame.len()))
             );
         }
-        self.frame.copy_from_slice(frame);
-        self.out = state.get_bytes("out")?.iter().copied().collect();
+        frame.read_into(0, &mut self.frame);
+        self.out = state.get_bytes("out")?.to_vec().into();
         self.wbuf = state.get_bytes("wbuf")?.to_vec();
         self.initialized = state.get_bool("initialized")?;
         let polls = state.get_u64("init_polls_left")?;

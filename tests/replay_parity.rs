@@ -20,7 +20,9 @@ use rvcap_bench::paper_soc::{self, PaperRig};
 use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
-use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState};
+use rvcap_repro::sim::{
+    bisect_divergence, Cycle, PagedBytes, Scheduler, SimState, StateBlob, StateValue,
+};
 use rvcap_repro::soc::cpu::SocState;
 
 /// Small sweep geometry: full reconfiguration in ~11 k cycles, cheap
@@ -131,6 +133,72 @@ fn full_soc_checkpoint_is_complete() {
     rig.soc.core.restore(&state).expect("self-restore");
     let again = rig.soc.core.checkpoint().expect("checkpoint after restore");
     assert_eq!(state.parity_diff(&again), None);
+}
+
+/// Every bulk memory in `blob` (the DDR and boot RAM `mem`, the SD
+/// flash `blocks`), keyed by its path.
+fn bulk_memories<'a>(path: &str, blob: &'a StateBlob, out: &mut Vec<(String, &'a PagedBytes)>) {
+    for (name, value) in blob.fields() {
+        match value {
+            StateValue::Bytes(mem) if name == "mem" || name == "blocks" => {
+                out.push((format!("{path}.{name}"), mem));
+            }
+            StateValue::Blob(inner) => bulk_memories(&format!("{path}.{name}"), inner, out),
+            _ => {}
+        }
+    }
+}
+
+fn memories(state: &SocState) -> Vec<(String, &PagedBytes)> {
+    let mut out = Vec::new();
+    for c in &state.sim.components {
+        bulk_memories(&c.name, &c.blob, &mut out);
+    }
+    out
+}
+
+/// Restore re-points memory pages instead of copying bytes: after a
+/// DMA reconfiguration, a CPU-side store and a restore, every DDR and
+/// SD flash page is the checkpoint's own page by pointer. A restore
+/// that copied would leave freshly allocated pages behind and fail
+/// here, whatever the host's speed.
+#[test]
+fn restore_shares_every_memory_page_with_the_checkpoint() {
+    let builder = SocBuilder::new().with_sd_file("RM0.BIN", vec![0xA5; 20_000]);
+    let mut rig = paper_soc::rig_with_builder(builder, small_rp());
+    let base = rig.soc.core.checkpoint().expect("checkpoint");
+    let d = RvCapDriver::new(0, rig.soc.handles.plic.clone());
+    let module = rig.module.clone();
+    d.init_reconfig_process(&mut rig.soc.core, &module, DmaMode::NonBlocking);
+    rig.soc
+        .handles
+        .ddr
+        .write_bytes(paper_soc::STAGE_ADDR, &[0xFF; 8]);
+    let dirty = rig.soc.core.checkpoint().expect("checkpoint after the op");
+    rig.soc.core.restore(&base).expect("restore");
+    let after = rig.soc.core.checkpoint().expect("checkpoint after restore");
+
+    let (saved, dirty, now) = (memories(&base), memories(&dirty), memories(&after));
+    let paths: Vec<&str> = saved.iter().map(|(p, _)| p.as_str()).collect();
+    assert!(paths.contains(&"ddr.mem"), "no DDR memory in {paths:?}");
+    assert!(
+        paths.iter().any(|p| p.ends_with(".blocks")),
+        "no SD flash in {paths:?}"
+    );
+    let ddr = paths.iter().position(|p| *p == "ddr.mem").unwrap();
+    let (_, ddr_saved) = saved[ddr];
+    assert!(
+        dirty[ddr].1.shared_pages(ddr_saved) < ddr_saved.page_count(),
+        "the store must have unshared a DDR page"
+    );
+    for ((path, saved), (_, now)) in saved.iter().zip(&now) {
+        assert!(saved.page_count() > 0, "{path} is empty");
+        assert_eq!(
+            now.shared_pages(saved),
+            saved.page_count(),
+            "{path}: restore left pages that are not the checkpoint's"
+        );
+    }
 }
 
 /// Restoring into a structurally different rig is refused, not
