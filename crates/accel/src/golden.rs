@@ -1,58 +1,79 @@
 //! Golden (reference) filter implementations.
 //!
-//! The per-pixel kernels are shared with the streaming hardware models
-//! in [`crate::rm`], so hardware output is bit-identical to these by
-//! construction *of the kernel* — the tests verify the streaming
-//! machinery (line buffers, beat packing, backpressure) preserves it.
+//! Every filter is a pure per-pixel kernel over a [`Neighbourhood`]:
+//! the 3×3 pixels centred on the output pixel, with borders replicated
+//! (out-of-image coordinates clamp to the nearest edge pixel). The
+//! neighbourhood is built by one gather path — [`neighbour_rows`]
+//! resolves the three clamped rows once per image row, [`gather`]
+//! reads the three clamped columns from them — shared with the
+//! streaming hardware models in [`crate::rm`]. Hardware output is
+//! therefore bit-identical to these by construction *of the kernel and
+//! the gather*; the tests verify the streaming machinery (line buffers,
+//! beat packing, backpressure) preserves it.
 
 use crate::image::Image;
 
-/// A window accessor: pixel at (row, col) with replicated borders.
-pub type Window<'a> = &'a dyn Fn(isize, isize) -> u8;
+/// The 3×3 pixels around an output pixel, `[row][col]`, centre at
+/// `[1][1]`, borders replicated.
+pub type Neighbourhood = [[u8; 3]; 3];
 
-/// 3×3 Gaussian blur kernel (1-2-1 separable, /16) at (r, c).
-pub fn gaussian_pixel(win: Window<'_>, r: isize, c: isize) -> u8 {
+/// A per-pixel filter kernel.
+pub type Kernel = fn(&Neighbourhood) -> u8;
+
+/// The rows above, at and below row `r` of a row-major `width`-wide
+/// image of `height` rows, clamped to the image. `pixels` may be a
+/// row-major prefix, as long as it holds row `min(r + 1, height - 1)`.
+pub fn neighbour_rows(pixels: &[u8], width: usize, height: usize, r: usize) -> [&[u8]; 3] {
+    let row = |rr: usize| &pixels[rr * width..(rr + 1) * width];
+    [
+        row(r.saturating_sub(1)),
+        row(r),
+        row((r + 1).min(height - 1)),
+    ]
+}
+
+/// The neighbourhood of column `c` in the three rows from
+/// [`neighbour_rows`], columns clamped to the row.
+pub fn gather(rows: &[&[u8]; 3], c: usize) -> Neighbourhood {
+    let (l, r) = (c.saturating_sub(1), (c + 1).min(rows[0].len() - 1));
+    rows.map(|row| [row[l], row[c], row[r]])
+}
+
+/// 3×3 Gaussian blur kernel (1-2-1 separable, /16).
+pub fn gaussian_pixel(n: &Neighbourhood) -> u8 {
     let k: [[u16; 3]; 3] = [[1, 2, 1], [2, 4, 2], [1, 2, 1]];
     let mut acc: u16 = 0;
-    for (dr, row) in k.iter().enumerate() {
-        for (dc, &w) in row.iter().enumerate() {
-            acc += w * win(r + dr as isize - 1, c + dc as isize - 1) as u16;
+    for (krow, nrow) in k.iter().zip(n) {
+        for (&w, &p) in krow.iter().zip(nrow) {
+            acc += w * p as u16;
         }
     }
     (acc / 16) as u8
 }
 
-/// 3×3 median filter at (r, c).
-pub fn median_pixel(win: Window<'_>, r: isize, c: isize) -> u8 {
-    let mut vals = [0u8; 9];
-    let mut i = 0;
-    for dr in -1..=1 {
-        for dc in -1..=1 {
-            vals[i] = win(r + dr, c + dc);
-            i += 1;
-        }
-    }
+/// 3×3 median filter.
+pub fn median_pixel(n: &Neighbourhood) -> u8 {
+    let mut vals: [u8; 9] = n.as_flattened().try_into().expect("3×3 is 9 pixels");
     vals.sort_unstable();
     vals[4]
 }
 
-/// 3×3 Sobel gradient magnitude (|Gx| + |Gy|, saturated) at (r, c).
-pub fn sobel_pixel(win: Window<'_>, r: isize, c: isize) -> u8 {
-    let p = |dr: isize, dc: isize| win(r + dr, c + dc) as i32;
-    let gx = -p(-1, -1) - 2 * p(0, -1) - p(1, -1) + p(-1, 1) + 2 * p(0, 1) + p(1, 1);
-    let gy = -p(-1, -1) - 2 * p(-1, 0) - p(-1, 1) + p(1, -1) + 2 * p(1, 0) + p(1, 1);
+/// 3×3 Sobel gradient magnitude (|Gx| + |Gy|, saturated).
+pub fn sobel_pixel(n: &Neighbourhood) -> u8 {
+    let p = |dr: usize, dc: usize| n[dr][dc] as i32;
+    let gx = -p(0, 0) - 2 * p(1, 0) - p(2, 0) + p(0, 2) + 2 * p(1, 2) + p(2, 2);
+    let gy = -p(0, 0) - 2 * p(0, 1) - p(0, 2) + p(2, 0) + 2 * p(2, 1) + p(2, 2);
     (gx.abs() + gy.abs()).min(255) as u8
 }
 
-fn apply(img: &Image, kernel: fn(Window<'_>, isize, isize) -> u8) -> Image {
-    let mut out = Image::new(img.width(), img.height());
-    let win = |r: isize, c: isize| img.get_clamped(r, c);
-    for r in 0..img.height() {
-        for c in 0..img.width() {
-            out.set(r, c, kernel(&win, r as isize, c as isize));
-        }
+fn apply(img: &Image, kernel: Kernel) -> Image {
+    let (w, h) = (img.width(), img.height());
+    let mut out = Vec::with_capacity(w * h);
+    for r in 0..h {
+        let rows = neighbour_rows(img.as_bytes(), w, h, r);
+        out.extend((0..w).map(|c| kernel(&gather(&rows, c))));
     }
-    out
+    Image::from_pixels(w, h, out)
 }
 
 /// Gaussian blur of a whole image.
@@ -73,6 +94,25 @@ pub fn sobel(img: &Image) -> Image {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gather_replicates_borders() {
+        let img = Image::noise(4, 3, 5);
+        let (px, w, h) = (img.as_bytes(), img.width(), img.height());
+        let g = |r: usize, c: usize| img.get(r, c);
+        // Corner: the missing row and column repeat the edge pixels.
+        let corner = gather(&neighbour_rows(px, w, h, 0), 0);
+        assert_eq!(corner[0], [g(0, 0), g(0, 0), g(0, 1)]);
+        assert_eq!(corner[2], [g(1, 0), g(1, 0), g(1, 1)]);
+        // Opposite corner, clamped the other way.
+        let far = gather(&neighbour_rows(px, w, h, 2), 3);
+        assert_eq!(far[1], [g(2, 2), g(2, 3), g(2, 3)]);
+        assert_eq!(far[2], far[1]);
+        // Interior: no clamping.
+        let mid = gather(&neighbour_rows(px, w, h, 1), 2);
+        assert_eq!(mid[0], [g(0, 1), g(0, 2), g(0, 3)]);
+        assert_eq!(mid[1][1], g(1, 2));
+    }
 
     #[test]
     fn gaussian_preserves_flat_regions() {

@@ -113,14 +113,6 @@ impl Image {
         self.pixels[row * self.width + col] = v;
     }
 
-    /// Pixel with clamped (replicated-border) coordinates — the border
-    /// policy of all three filters.
-    pub fn get_clamped(&self, row: isize, col: isize) -> u8 {
-        let r = row.clamp(0, self.height as isize - 1) as usize;
-        let c = col.clamp(0, self.width as isize - 1) as usize;
-        self.get(r, c)
-    }
-
     /// Serialize as a binary PGM (P5) — for the examples' output.
     pub fn to_pgm(&self) -> Vec<u8> {
         let mut out = format!("P5\n{} {}\n255\n", self.width, self.height).into_bytes();
@@ -141,14 +133,6 @@ mod tests {
         img.set(2, 3, 77);
         assert_eq!(img.get(2, 3), 77);
         assert_eq!(img.as_bytes().len(), 12);
-    }
-
-    #[test]
-    fn clamped_borders() {
-        let img = Image::gradient(4, 4);
-        assert_eq!(img.get_clamped(-1, -5), img.get(0, 0));
-        assert_eq!(img.get_clamped(10, 10), img.get(3, 3));
-        assert_eq!(img.get_clamped(1, 2), img.get(1, 2));
     }
 
     #[test]

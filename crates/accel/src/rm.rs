@@ -9,21 +9,27 @@
 //! — the latency visible in the paper's per-filter compute times.
 //!
 //! The per-pixel arithmetic is literally the [`crate::golden`] kernel
-//! functions, so a hardware run is bit-identical to the reference
-//! implementation by construction; the tests verify the streaming
-//! machinery (packing, backpressure, restart) preserves that.
+//! functions, fed by the same neighbourhood gather
+//! ([`golden::neighbour_rows`] + [`golden::gather`]), so a hardware run
+//! is bit-identical to the reference implementation by construction;
+//! the tests verify the streaming machinery (packing, backpressure,
+//! restart) preserves that. A beat is built in place: ingest reads the
+//! beat's bytes without allocating, the neighbour rows are resolved
+//! once per image row the output beat touches (a beat may straddle two
+//! rows when the width is not a multiple of 8), and the output pixels
+//! are packed from a stack buffer.
 
 use rvcap_axi::stream::AxisBeat;
 use rvcap_axi::AxisChannel;
 use rvcap_fabric::rm::RmBehavior;
 use rvcap_sim::Cycle;
 
-use crate::golden::Window;
+use crate::golden::{self, Kernel};
 
 /// A streaming 3×3 window filter.
 pub struct StreamingFilter {
     name: String,
-    kernel: fn(Window<'_>, isize, isize) -> u8,
+    kernel: Kernel,
     width: usize,
     height: usize,
     /// Received input pixels (a row-major prefix of the image).
@@ -41,7 +47,7 @@ impl StreamingFilter {
     /// Create a filter for `width`×`height` frames.
     pub fn new(
         name: impl Into<String>,
-        kernel: fn(Window<'_>, isize, isize) -> u8,
+        kernel: Kernel,
         width: usize,
         height: usize,
         interval_x100: u64,
@@ -71,25 +77,27 @@ impl StreamingFilter {
     }
 
     /// Is output pixel `pos` computable from the received prefix?
+    /// Monotone in `pos`: a later pixel never needs less input.
     fn computable(&self, pos: usize) -> bool {
         let r = pos / self.width;
         let needed_row = (r + 1).min(self.height - 1);
         self.inbuf.len() >= (needed_row + 1) * self.width
     }
 
-    fn compute(&self, pos: usize) -> u8 {
-        let w = self.width as isize;
-        let h = self.height as isize;
-        let win = |r: isize, c: isize| -> u8 {
-            let rr = r.clamp(0, h - 1) as usize;
-            let cc = c.clamp(0, w - 1) as usize;
-            self.inbuf[rr * self.width + cc]
-        };
-        (self.kernel)(
-            &win,
-            (pos / self.width) as isize,
-            (pos % self.width) as isize,
-        )
+    /// Compute output pixels `out_pos..out_pos + out.len()`, resolving
+    /// the neighbour rows once per image row.
+    fn compute(&self, out: &mut [u8]) {
+        let (w, h) = (self.width, self.height);
+        let (mut r, mut c) = (self.out_pos / w, self.out_pos % w);
+        let mut rows = golden::neighbour_rows(&self.inbuf, w, h, r);
+        for px in out {
+            if c == w {
+                (r, c) = (r + 1, 0);
+                rows = golden::neighbour_rows(&self.inbuf, w, h, r);
+            }
+            *px = (self.kernel)(&golden::gather(&rows, c));
+            c += 1;
+        }
     }
 }
 
@@ -100,10 +108,12 @@ impl RmBehavior for StreamingFilter {
 
     fn tick(&mut self, cycle: Cycle, input: &AxisChannel, output: &AxisChannel) {
         // Ingest one beat per cycle.
-        if self.inbuf.len() < self.total() {
+        let total = self.total();
+        if self.inbuf.len() < total {
             if let Some(beat) = input.try_pop(cycle) {
-                let take = (self.total() - self.inbuf.len()).min(beat.bytes as usize);
-                self.inbuf.extend_from_slice(&beat.to_bytes()[..take]);
+                let take = (total - self.inbuf.len()).min(beat.bytes as usize);
+                self.inbuf
+                    .extend_from_slice(&beat.data.to_le_bytes()[..take]);
             }
         }
         // Emit at the configured pace.
@@ -111,23 +121,24 @@ impl RmBehavior for StreamingFilter {
         if self.credits < self.interval_x100 {
             return;
         }
-        let remaining = self.total() - self.out_pos;
+        let remaining = total - self.out_pos;
         if remaining == 0 {
             return;
         }
         let beat_len = remaining.min(8);
-        if !(0..beat_len).all(|i| self.computable(self.out_pos + i)) {
+        // The beat's last pixel needs the most input (`computable` is
+        // monotone), so it decides for the whole beat.
+        if !self.computable(self.out_pos + beat_len - 1) {
             return; // waiting on input rows
         }
         if !output.can_push(cycle) {
             return; // downstream backpressure
         }
-        let bytes: Vec<u8> = (0..beat_len)
-            .map(|i| self.compute(self.out_pos + i))
-            .collect();
+        let mut bytes = [0u8; 8];
+        self.compute(&mut bytes[..beat_len]);
         let last = remaining == beat_len;
         output
-            .try_push(cycle, AxisBeat::from_bytes(&bytes, last))
+            .try_push(cycle, AxisBeat::from_bytes(&bytes[..beat_len], last))
             .expect("can_push checked");
         self.out_pos += beat_len;
         self.credits -= self.interval_x100;

@@ -130,35 +130,61 @@ impl ConfigMem {
     }
 
     /// Inverse of [`ConfigMem::save_state`]: unconfigured frames go
-    /// back to "never written".
+    /// back to "never written". The whole blob is validated before the
+    /// store changes, so a bad one leaves it as it was. The store is
+    /// rewound in place: slots the checkpoint does not configure are
+    /// cleared, and a frame configured both now and in the checkpoint
+    /// keeps its box and takes the saved words, so a fork of a
+    /// configured partition allocates nothing per frame.
     pub fn restore_state(&self, v: &StateValue) -> Result<(), StateError> {
         let b = v.as_blob("fabric.config_mem")?;
         b.expect("fabric.config_mem", 1)?;
         let mut inner = self.inner.borrow_mut();
-        if b.get_u64("total_frames")? as usize != inner.frames.len() {
+        let total = inner.frames.len();
+        if b.get_u64("total_frames")? as usize != total {
             return Err(b.structure_error(format!(
-                "device has {} frames, state was captured with {}",
-                inner.frames.len(),
+                "device has {total} frames, state was captured with {}",
                 b.get_u64("total_frames")?
             )));
         }
-        let mut frames: Vec<Option<Box<[u32; FRAME_WORDS]>>> =
-            (0..inner.frames.len()).map(|_| None).collect();
-        for entry in b.get_list("frames")? {
+        let entries = b.get_list("frames")?;
+        let mut saved: Vec<(usize, &[u32; FRAME_WORDS])> = Vec::with_capacity(entries.len());
+        for entry in entries {
             let f = entry.as_blob("fabric.config_mem")?;
             f.expect("fabric.frame", 1)?;
             let far = f.get_u64("far")? as usize;
-            let words = f.get_words("words")?;
-            let slot = frames
-                .get_mut(far)
-                .ok_or_else(|| f.structure_error(format!("FAR {far} out of range")))?;
-            let arr: [u32; FRAME_WORDS] = words.try_into().map_err(|_| {
+            if far >= total {
+                return Err(f.structure_error(format!("FAR {far} out of range")));
+            }
+            let words = f.get_words("words")?.try_into().map_err(|_| {
                 f.structure_error(format!("frame {far} is not {FRAME_WORDS} words"))
             })?;
-            *slot = Some(Box::new(arr));
+            saved.push((far, words));
         }
-        inner.frames = frames;
-        inner.writes = b.get_u64("writes")?;
+        let writes = b.get_u64("writes")?;
+        // Saved in FAR order already; a stable sort keeps the last of
+        // any repeated FAR last, and that one wins below.
+        saved.sort_by_key(|&(far, _)| far);
+        let frames = &mut inner.frames;
+        let clear = |slots: &mut [Option<Box<[u32; FRAME_WORDS]>>]| {
+            for slot in slots.iter_mut().filter(|s| s.is_some()) {
+                *slot = None;
+            }
+        };
+        let mut next = 0;
+        for (i, &(far, words)) in saved.iter().enumerate() {
+            if saved.get(i + 1).is_some_and(|&(f, _)| f == far) {
+                continue;
+            }
+            clear(&mut frames[next..far]);
+            match &mut frames[far] {
+                Some(frame) => **frame = *words,
+                slot => *slot = Some(Box::new(*words)),
+            }
+            next = far + 1;
+        }
+        clear(&mut frames[next..]);
+        inner.writes = writes;
         Ok(())
     }
 }
@@ -251,5 +277,70 @@ mod tests {
         let b = a.clone();
         a.write_frame(1, &frame(9));
         assert!(b.read_frame(1).is_some());
+    }
+
+    #[test]
+    fn restore_rewinds_every_frame() {
+        let cm = ConfigMem::new(8);
+        cm.write_frame(1, &frame(1));
+        cm.write_frame(2, &frame(2));
+        let saved = cm.save_state();
+        // Overwrite a saved frame, configure a new one, then rewind.
+        cm.write_frame(2, &frame(20));
+        cm.write_frame(5, &frame(5));
+        cm.restore_state(&saved).unwrap();
+        assert_eq!(cm.read_frame(1), Some(frame(1)));
+        assert_eq!(cm.read_frame(2), Some(frame(2)));
+        assert_eq!(cm.read_frame(5), None);
+        assert_eq!(cm.total_writes(), 2);
+        // Into an empty memory too.
+        let fresh = ConfigMem::new(8);
+        fresh.restore_state(&saved).unwrap();
+        assert_eq!(fresh.read_frame(2), Some(frame(2)));
+    }
+
+    /// A hand-built checkpoint of an 8-frame memory holding `frames`
+    /// (FAR, fill) in the given order.
+    fn blob(frames: &[(u64, u32)]) -> StateValue {
+        let mut b = StateBlob::new("fabric.config_mem", 1);
+        b.put_u64("total_frames", 8);
+        b.put_u64("writes", 9);
+        let list = frames.iter().map(|&(far, fill)| {
+            let mut f = StateBlob::new("fabric.frame", 1);
+            f.put_u64("far", far);
+            f.put_words("words", frame(fill).to_vec());
+            StateValue::Blob(Box::new(f))
+        });
+        b.put_list("frames", list.collect());
+        StateValue::Blob(Box::new(b))
+    }
+
+    #[test]
+    fn bad_restore_leaves_the_store_as_it_was() {
+        let cm = ConfigMem::new(8);
+        cm.write_frame(3, &frame(3));
+        // A valid frame first, then one past the device.
+        assert!(cm.restore_state(&blob(&[(3, 7), (8, 7)])).is_err());
+        assert_eq!(cm.read_frame(3), Some(frame(3)));
+        assert_eq!(cm.total_writes(), 1);
+    }
+
+    #[test]
+    fn restore_takes_frames_in_any_order_and_the_last_of_a_repeat() {
+        let cm = ConfigMem::new(8);
+        cm.write_frame(0, &frame(1));
+        cm.write_frame(6, &frame(1));
+        cm.restore_state(&blob(&[(5, 50), (2, 20), (5, 51), (7, 70)]))
+            .unwrap();
+        let expect = |far| match far {
+            2 => Some(frame(20)),
+            5 => Some(frame(51)),
+            7 => Some(frame(70)),
+            _ => None,
+        };
+        for far in 0..8 {
+            assert_eq!(cm.read_frame(far), expect(far), "FAR {far}");
+        }
+        assert_eq!(cm.total_writes(), 9);
     }
 }

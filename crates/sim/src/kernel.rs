@@ -900,7 +900,7 @@ impl Simulator {
                     ticks_executed: ticks,
                     cycles_skipped: (self.cycle - registered) - ticks,
                     host_ns,
-                    audit: c.mmio_audit(),
+                    audit: c.mmio_audit().map(Box::new),
                 })
                 .collect(),
         }

@@ -141,7 +141,9 @@ pub struct ComponentStats {
     /// ([`crate::Simulator::set_profiling`]); zero otherwise.
     pub host_ns: u64,
     /// MMIO access audit, for components that decode a register map.
-    pub audit: Option<MmioAudit>,
+    /// Boxed: most components have none, and a snapshot per op is
+    /// kept by callers that record every op.
+    pub audit: Option<Box<MmioAudit>>,
 }
 
 impl ComponentStats {
@@ -444,11 +446,11 @@ mod tests {
                     ticks_executed: 100,
                     cycles_skipped: 0,
                     host_ns: 0,
-                    audit: Some(MmioAudit {
+                    audit: Some(Box::new(MmioAudit {
                         reads: 4,
                         unmapped: 2,
                         ..MmioAudit::default()
-                    }),
+                    })),
                 },
                 ComponentStats {
                     name: "b".into(),
@@ -462,11 +464,11 @@ mod tests {
                     ticks_executed: 100,
                     cycles_skipped: 0,
                     host_ns: 0,
-                    audit: Some(MmioAudit {
+                    audit: Some(Box::new(MmioAudit {
                         writes: 7,
                         ro_writes: 1,
                         ..MmioAudit::default()
-                    }),
+                    })),
                 },
             ],
         };

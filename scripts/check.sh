@@ -35,13 +35,15 @@ echo "== replay parity (checkpoint/restore/continue, both schedules) =="
 RVCAP_STRICT=1 cargo test -q -p rvcap-repro --test replay_parity
 RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test replay_props
 
-# Second seed: the memory-model and replay properties again from a
-# fixed non-default seed, so each run covers cases the name-derived
-# seeds do not. A failure prints the seed to export for a replay.
-echo "== property second seed (paged memory, replay) =="
+# Second seed: the memory-model, replay and streaming-filter
+# properties again from a fixed non-default seed, so each run covers
+# cases the name-derived seeds do not. A failure prints the seed to
+# export for a replay.
+echo "== property second seed (paged memory, replay, streaming filter) =="
 export RVCAP_PROPTEST_SEED=0x5eed2 RVCAP_PROPTEST_CASES=32
 RVCAP_STRICT=1 cargo test -q -p rvcap-soc --test paged_memory
 RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test replay_props
+RVCAP_STRICT=1 cargo test -q -p rvcap-accel --test streaming_props
 unset RVCAP_PROPTEST_SEED RVCAP_PROPTEST_CASES
 
 # The repo benchmark's own tests pin the simulated cycles of the four
@@ -64,6 +66,14 @@ dprbench="${CARGO_TARGET_DIR:-dprbench/target}/release/dprbench"
   "$dprbench" --workload mmio_reconfig --seed 1 --seconds 1 --trace 0 \
     | grep -E '^peak_rss_mb '
 } | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
+
+# Host cost of the streaming filter model: the RM host's per-tick cost
+# and self time, and the traced op's wall, from one traced
+# accel_stream run. A readout, not a gate.
+echo "== dprbench filter model cost (accel_stream) =="
+"$dprbench" --workload accel_stream --seed 1 --seconds 3 --trace 1 \
+  | grep -E '^(fabric\.rm_host\.(tick_ns|self_ms)|sim\.traced_op_ms) ' \
+  | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
 
 # Host-performance gate: the full median-of-3 grid per rig ×
 # scheduler, written to BENCH_hostbench.json (plus

@@ -3,6 +3,8 @@
 //! deterministic, so any drift here means a model change altered the
 //! reproduced results — these tests are the contract of EXPERIMENTS.md.
 
+use rvcap_repro::accel::library::filter_library;
+use rvcap_repro::accel::{run_accelerator, FilterKind, Image};
 use rvcap_repro::core::drivers::{DmaMode, HwIcapDriver, ReconfigModule, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
 use rvcap_repro::fabric::bitstream::{Bitstream, BitstreamBuilder};
@@ -90,6 +92,79 @@ fn rvcap_max_throughput_reaches_398() {
     let t = d.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
     let mbs = t.throughput_mbs(module.pbit_size as u64);
     assert!((397.0..400.0).contains(&mbs), "max throughput {mbs} MB/s");
+}
+
+/// Table IV: T_c of a straight 512×512 run — reconfigure, then stream
+/// the image through the fresh module at once — pinned exactly, in
+/// simulated cycles (100 MHz) and in CLINT ticks (5 MHz, the paper's
+/// µs × 5), with every output equal to its golden filter. Paper:
+/// Gaussian 606, Median 598, Sobel 588 µs. T_c does not depend on the
+/// partition's size, so a one-column RP keeps the reconfiguration
+/// cheap in debug builds.
+#[test]
+fn table4_straight_compute_times() {
+    let geometry = RpGeometry::scaled(1, 0, 0);
+    let dim = Image::PAPER_DIM;
+    let input = Image::noise(dim, dim, 2024);
+    let (in_addr, out_addr, stage) = (
+        DDR_BASE + 0x10_0000,
+        DDR_BASE + 0x60_0000,
+        DDR_BASE + 0xA0_0000,
+    );
+    for (kind, want_cycles, want_ticks) in [
+        (FilterKind::Gaussian, 60_601, 3_029),
+        (FilterKind::Median, 59_618, 2_980),
+        (FilterKind::Sobel, 58_635, 2_931),
+    ] {
+        let lib = filter_library(&geometry, dim, dim);
+        let rm = lib.by_name(kind.name()).unwrap().clone();
+        let mut soc = SocBuilder::new()
+            .with_rps(vec![geometry.clone()])
+            .with_library(lib)
+            .build();
+        let bytes = BitstreamBuilder::kintex7()
+            .partial(soc.handles.rps[0].far_base, &rm.payload)
+            .to_bytes();
+        soc.handles.ddr.write_bytes(stage, &bytes);
+        soc.handles.ddr.write_bytes(in_addr, input.as_bytes());
+        let module = ReconfigModule {
+            name: kind.name().into(),
+            rm_number: 0,
+            start_address: stage,
+            pbit_size: bytes.len() as u32,
+        };
+        let plic = soc.handles.plic.clone();
+        RvCapDriver::new(0, plic.clone()).init_reconfig_process(
+            &mut soc.core,
+            &module,
+            DmaMode::NonBlocking,
+        );
+        let icap = soc.handles.icap.clone();
+        soc.core.wait_until(100_000, || !icap.busy()).unwrap();
+
+        let start = soc.core.now();
+        let ticks = run_accelerator(
+            &mut soc.core,
+            &plic,
+            0,
+            in_addr,
+            out_addr,
+            (dim * dim) as u32,
+        );
+        let cycles = soc.core.now() - start;
+        assert_eq!(
+            (cycles, ticks),
+            (want_cycles, want_ticks),
+            "{}: T_c (cycles, CLINT ticks)",
+            kind.name()
+        );
+        assert_eq!(
+            soc.handles.ddr.read_bytes(out_addr, dim * dim),
+            kind.golden(&input).as_bytes(),
+            "{}: output differs from the golden filter",
+            kind.name()
+        );
+    }
 }
 
 /// §IV-B: the HWICAP driver reaches 4.16 MB/s without unrolling —
